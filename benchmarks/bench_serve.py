@@ -5,10 +5,11 @@ real sockets with a mixed workload — 0.5%-selectivity row queries
 (limit-capped responses) alternating with full-scan aggregates — at
 1, 8, and 64 connections.  Each client count runs twice:
 
-* **shared** — the PR 7 serving shape: every query's granules
+* **shared** — the server's serving shape: every query's granules
   interleave on one bounded :class:`~repro.exec.pool.MorselScheduler`;
-* **pool-per-query** — the pre-PR shape: each request spins its own
-  ``ThreadPoolExecutor`` (``threads=WORKERS``), so N concurrent queries
+* **pool-per-query** — the baseline: :class:`PoolPerQuery`, assigned
+  to ``server.scheduler``, runs each request on its own fresh
+  ``MorselScheduler(workers=WORKERS)``, so N concurrent queries
   oversubscribe N pools onto the same cores.
 
 Both modes share everything else (wire protocol, chunk cache size,
@@ -33,7 +34,7 @@ import time
 import numpy as np
 
 from repro.datasets import sensor_fixture
-from repro.exec import Plan, col
+from repro.exec import MorselScheduler, Plan, col
 from repro.serve import ServeClient, TableServer
 from repro.store import TableWriter
 
@@ -48,6 +49,28 @@ CLIENTS_QUICK = (1, 8)
 REQUESTS_PER_CLIENT = 6
 #: worker threads per scheduler (shared) / per query pool (baseline)
 WORKERS = 4
+
+
+class PoolPerQuery:
+    """The pool-per-query baseline, swapped in for a server's scheduler:
+    every request gets a private pool of ``workers`` threads, torn down
+    when the request finishes (no sharing, no admission control)."""
+
+    def __init__(self, workers: int):
+        self.workers = workers
+
+    def run_query(self, fn, items, cancel, deadline=None, trace=None):
+        with MorselScheduler(workers=self.workers,
+                             name="bench-pool-per-query") as pool:
+            return pool.run_query(fn, items, cancel, deadline, trace=trace)
+
+    def stats(self) -> dict:
+        return {"workers": self.workers, "tier": "thread",
+                "inflight": 0, "parked": 0}
+
+    def close(self, drain: bool = True, timeout: float | None = None
+              ) -> None:
+        pass  # nothing outlives a request
 
 
 def _build_root(n: int) -> tuple[str, dict]:
@@ -136,11 +159,14 @@ def run(n: int, client_counts) -> dict:
     results: dict[str, dict] = {"shared": {}, "pool_per_query": {}}
     checks: dict[str, bool] = {"responses_correct": True}
     try:
-        for mode, shared in (("shared", True), ("pool_per_query", False)):
+        for mode in results:
             for n_clients in client_counts:
-                server = TableServer(
-                    root, workers=WORKERS, max_inflight=None,
-                    queue_depth=None, shared=shared).start()
+                server = TableServer(root, workers=WORKERS,
+                                     max_inflight=None, queue_depth=None)
+                if mode == "pool_per_query":
+                    server.scheduler.close()
+                    server.scheduler = PoolPerQuery(WORKERS)
+                server.start()
                 try:
                     _drive(server, 1, workload)  # warm cache + threads
                     entry = _drive(server, n_clients, workload)

@@ -1,12 +1,10 @@
-"""The shared morsel scheduler: one worker pool, many concurrent plans.
+"""The morsel scheduler: one worker pool, many concurrent plans.
 
-Before PR 7 every :func:`repro.exec.run.execute` call spun up its own
-``ThreadPoolExecutor`` — fine for one caller, but N concurrent queries
-meant N pools fighting over the same cores.  :class:`MorselScheduler`
-is the process-wide replacement: a fixed set of worker threads pulls
-*granules* (not whole queries) from every in-flight plan, so concurrent
-queries interleave at morsel granularity on a bounded number of threads
-instead of oversubscribing.
+:class:`MorselScheduler` is the executor's one parallel dispatcher: a
+fixed set of worker threads pulls *granules* (not whole queries) from
+every in-flight plan, so concurrent queries interleave at morsel
+granularity on a bounded number of threads instead of oversubscribing
+the cores with a private pool for every query.
 
 * **Policy** — ``"fair"`` round-robins one granule per in-flight query
   per turn (no query starves); ``"sjf"`` always serves the query with
@@ -27,7 +25,8 @@ instead of oversubscribing.
   documents.
 
 :func:`shared_scheduler` is the lazily-built process-wide instance
-``execute`` uses for auto-threaded queries; servers build their own
+``execute`` uses for auto-threaded queries; an explicit ``threads=N``
+gets a private instance for the one call, and servers build their own
 bounded instance.
 """
 
@@ -41,11 +40,17 @@ from collections import deque
 from repro.exec.errors import ServerBusy
 from repro.obs import metrics as obs_metrics
 
-#: cap on auto-selected worker threads (matches the executor's old cap)
+#: cap on auto-selected worker threads
 MAX_AUTO_WORKERS = 8
 
 #: scheduling policies
 POLICIES = ("fair", "sjf")
+
+
+def auto_workers() -> int:
+    """The auto-selected parallelism: ``min(cpu_count, MAX_AUTO_WORKERS)``."""
+    return max(1, min(os.cpu_count() or 1, MAX_AUTO_WORKERS))
+
 
 # process-wide scheduler metrics, labelled by scheduler name so the
 # server's bounded instance and the shared in-process one stay distinct
@@ -119,7 +124,7 @@ class MorselScheduler:
                  queue_depth: int | None = None,
                  name: str = "morsel-scheduler"):
         if workers is None:
-            workers = max(1, min(os.cpu_count() or 1, MAX_AUTO_WORKERS))
+            workers = auto_workers()
         if workers < 1:
             raise ValueError(f"workers must be positive, got {workers}")
         if policy not in POLICIES:

@@ -2,8 +2,9 @@
 
 :func:`execute` runs a logical :class:`~repro.exec.plan.Plan` over any
 :class:`~repro.exec.source.ColumnSource`, morsel-driven: each granule
-(row group / column chunk / memory slice) is an independent task on a
-thread pool, and per granule the pipeline is
+(row group / column chunk / memory slice) is an independent task —
+run inline, or on a :class:`~repro.exec.pool.MorselScheduler` — and per
+granule the pipeline is
 
 1. **Zone-map pruning** — ``expr.maybe_match`` against the source's
    conservative per-column bounds; failing granules are skipped without
@@ -23,21 +24,18 @@ thread pool, and per granule the pipeline is
    max)`` states merged exactly across granules (never merged means);
    HashJoin probes the granule's batch against the built side.
 
-:class:`ExecStats` subsumes the store's ``ScanStats`` (granule/chunk/
-byte/cache accounting) and the engine's ``QueryResult`` CPU/IO
-breakdown; :meth:`ExecResult.explain` renders the plan annotated with
-pruning counts and the full cost split.
+:class:`ExecStats` is the one work-accounting shape (granule/chunk/
+byte/cache counts plus the CPU/IO breakdown) for every caller — store
+scans, mutable-table scans, served queries; :meth:`ExecResult.explain`
+renders the plan annotated with pruning counts and the full cost split.
 """
 
 from __future__ import annotations
 
 import errno
-import os
 import random
 import threading
 import time
-from concurrent.futures import CancelledError, ThreadPoolExecutor
-from concurrent.futures import TimeoutError as FutureTimeout
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,10 +44,8 @@ from repro.exec.errors import (CorruptChunkError, ExecTimeout,
                                GranuleError, ServerBusy)
 from repro.exec.expr import And, split_pushdown
 from repro.exec.plan import Aggregate, HashJoin, Plan
+from repro.exec.pool import MorselScheduler, auto_workers, shared_scheduler
 from repro.obs import metrics as obs_metrics
-
-#: cap on auto-selected executor threads
-MAX_AUTO_THREADS = 8
 
 #: transient-read retry budget per granule load (EIO only)
 DEFAULT_IO_RETRIES = 2
@@ -130,11 +126,9 @@ def _charge_query_metrics(stats: ExecStats, status: str) -> None:
 
 @dataclass
 class ExecStats:
-    """Work accounting for one plan execution (merged across granules).
-
-    Subsumes the store's ``ScanStats`` (granules/chunks/bytes/cache) and
-    the engine's ``QueryResult`` breakdown (CPU per phase + charged IO).
-    """
+    """Work accounting for one plan execution (merged across granules):
+    granules/chunks/bytes/cache counts plus CPU per phase and charged
+    IO."""
 
     granules_total: int = 0    # granules examined by the planner
     granules_pruned: int = 0   # skipped whole via zone maps / bitmaps
@@ -296,8 +290,8 @@ def _thread_count(source, n_granules: int, threads: int | None) -> int:
         # unlocked accounting state (e.g. a caller's IOModel): stay serial
         return 1
     if threads is not None:
-        return max(1, threads)
-    return max(1, min(n_granules, os.cpu_count() or 1, MAX_AUTO_THREADS))
+        return threads
+    return min(n_granules, auto_workers())
 
 
 def _ordered_unique(*column_lists) -> tuple:
@@ -696,12 +690,12 @@ def execute(plan: Plan, source, threads: int | None = None,
     ----------
     threads:
         Granule-level parallelism (``None`` = auto; clamped to 1 for
-        sources that are not ``parallel_safe``).  Auto-threaded queries
-        run on the process-wide shared
+        sources that are not ``parallel_safe``; must be positive).
+        Auto-threaded queries run on the process-wide shared
         :class:`~repro.exec.pool.MorselScheduler` — one worker pool no
-        matter how many queries are in flight; an *explicit* count
-        keeps the legacy per-call pool (the pool-per-query baseline
-        ``BENCH_serve.json`` measures against).
+        matter how many queries are in flight; an explicit ``N > 1``
+        runs on a private ``MorselScheduler(workers=N)`` closed when
+        the call returns; ``1`` runs inline on the calling thread.
     prune:
         Zone-map granule pruning (disable for the unpruned baseline;
         results are identical).
@@ -740,6 +734,8 @@ def execute(plan: Plan, source, threads: int | None = None,
     """
     if timeout_s is not None and timeout_s <= 0:
         raise ValueError(f"timeout_s must be positive, got {timeout_s}")
+    if threads is not None and threads < 1:
+        raise ValueError(f"threads must be positive, got {threads}")
     start = time.perf_counter()
     deadline = None if timeout_s is None else start + timeout_s
     cancel = threading.Event()
@@ -762,6 +758,7 @@ def execute(plan: Plan, source, threads: int | None = None,
     partials: list[_Partial] = []
     timed_out = False
     failure: BaseException | None = None
+    own_scheduler = None
     try:
         if scheduler is None and (n_threads == 1 or len(granules) <= 1):
             for granule in granules:
@@ -770,14 +767,17 @@ def execute(plan: Plan, source, threads: int | None = None,
                     timed_out = True
                     break
                 partials.append(part)
-        elif scheduler is not None or threads is None:
-            # the shared morsel scheduler: granules from every in-flight
-            # query interleave on one process-wide pool (an explicit
-            # ``threads=N`` keeps the legacy per-call pool below)
-            from repro.exec.pool import shared_scheduler
-
-            sched = scheduler if scheduler is not None \
-                else shared_scheduler()
+        else:
+            # granules from every in-flight query interleave on one
+            # pool: the caller's, the process-wide shared one (auto), or
+            # a private one sized to an explicit ``threads=N``
+            sched = scheduler
+            if sched is None and threads is None:
+                sched = shared_scheduler()
+            elif sched is None:
+                sched = own_scheduler = MorselScheduler(
+                    workers=min(n_threads, len(granules)),
+                    name="repro-exec-call")
             kwargs = {}
             if getattr(sched, "wants_descriptors", False):
                 # a process tier asks for a compact picklable descriptor
@@ -798,41 +798,11 @@ def execute(plan: Plan, source, threads: int | None = None,
                     timed_out = True
                 else:
                     partials.append(part)
-        else:
-            with ThreadPoolExecutor(max_workers=n_threads) as pool:
-                futures = [pool.submit(run_granule, g) for g in granules]
-                for fut in futures:
-                    if failure is not None or timed_out:
-                        # first failure/timeout wins: cancel everything
-                        # not yet started; running granules see the
-                        # cancel event
-                        fut.cancel()
-                        continue
-                    remaining = None if deadline is None \
-                        else deadline - time.perf_counter()
-                    try:
-                        if remaining is not None and remaining <= 0:
-                            raise FutureTimeout()
-                        part = fut.result(timeout=remaining)
-                    except FutureTimeout:
-                        timed_out = True
-                        cancel.set()
-                        fut.cancel()
-                        continue
-                    except CancelledError:
-                        continue
-                    except BaseException as err:
-                        failure = err
-                        cancel.set()
-                        fut.cancel()
-                        continue
-                    if part is None:
-                        timed_out = True
-                        cancel.set()
-                        continue
-                    partials.append(part)
     except BaseException as err:
         failure = err
+    finally:
+        if own_scheduler is not None:
+            own_scheduler.close()
 
     stats = ExecStats()
     for part in partials:

@@ -34,7 +34,7 @@ import pickle
 import time
 
 from repro.exec.errors import GranuleError
-from repro.exec.pool import MorselScheduler, _Job
+from repro.exec.pool import MorselScheduler, _Job, auto_workers
 from repro.obs import metrics as obs_metrics
 from repro.par.worker import revive_error, worker_main
 
@@ -238,11 +238,7 @@ class ProcessScheduler(MorselScheduler):
         # build lanes BEFORE the base class starts its threads: forking
         # a process that is not yet multi-threaded sidesteps the whole
         # fork-with-held-locks class of bugs for the children
-        resolved = workers
-        if resolved is None:
-            from repro.exec.pool import MAX_AUTO_WORKERS
-
-            resolved = max(1, min(os.cpu_count() or 1, MAX_AUTO_WORKERS))
+        resolved = workers if workers is not None else auto_workers()
         if resolved < 1:
             raise ValueError(f"workers must be positive, got {workers}")
         self._lanes = [

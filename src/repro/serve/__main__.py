@@ -53,9 +53,6 @@ def main(argv=None) -> int:
                         help="multiprocessing start method for "
                              "--worker-tier process (default: fork "
                              "where available)")
-    parser.add_argument("--pool-per-query", action="store_true",
-                        help="baseline mode: no shared scheduler "
-                             "(benchmarks only)")
     parser.add_argument("--metrics-port", type=int, default=None,
                         help="also serve HTTP GET /metrics on this "
                              "port (0 picks a free port)")
@@ -68,18 +65,20 @@ def main(argv=None) -> int:
                              "--slow-query-ms)")
     args = parser.parse_args(argv)
 
-    server = TableServer(
-        args.root, host=args.host, port=args.port, workers=args.workers,
-        policy=args.policy, max_inflight=args.max_inflight,
-        queue_depth=args.queue_depth,
-        cache_bytes=int(args.cache_mb * (1 << 20)),
-        default_timeout_s=args.timeout_s,
-        shared=not args.pool_per_query,
-        worker_tier=args.worker_tier,
-        start_method=args.start_method,
-        metrics_port=args.metrics_port,
-        slow_query_ms=args.slow_query_ms,
-        slow_query_log=args.slow_query_log)
+    try:
+        server = TableServer(
+            args.root, host=args.host, port=args.port,
+            workers=args.workers, policy=args.policy,
+            max_inflight=args.max_inflight, queue_depth=args.queue_depth,
+            cache_bytes=int(args.cache_mb * (1 << 20)),
+            default_timeout_s=args.timeout_s,
+            worker_tier=args.worker_tier,
+            start_method=args.start_method,
+            metrics_port=args.metrics_port,
+            slow_query_ms=args.slow_query_ms,
+            slow_query_log=args.slow_query_log)
+    except ValueError as err:
+        parser.error(str(err))
     host, port = server.address
     print(f"listening on {host}:{port}", flush=True)
     if server.metrics_address is not None:

@@ -89,6 +89,14 @@ def _parse_where(text: str) -> tuple[str, int, int]:
     return parts[0], int(parts[1]), int(parts[2])
 
 
+def _parse_threads(text: str) -> int:
+    threads = int(text)
+    if threads < 1:
+        raise argparse.ArgumentTypeError(
+            f"threads must be positive, got {threads}")
+    return threads
+
+
 def _cmd_append(args) -> int:
     from repro.datasets.store_fixtures import ingest_fixture
     from repro.mutate import MutableTable
@@ -280,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="range predicate lo <= col < hi")
     scan.add_argument("--version", type=int, default=None,
                       help="time-travel to a published generation")
-    scan.add_argument("--threads", type=int, default=None)
+    scan.add_argument("--threads", type=_parse_threads, default=None)
     scan.add_argument("--timeout-s", type=float, default=None,
                       help="cancel the scan after this many seconds "
                            "(prints partial stats, exits 1)")

@@ -39,12 +39,14 @@ except ImportError:  # pragma: no cover - hypothesis is in the CI image
     HAVE_HYPOTHESIS = False
 
 from repro import faults
-from repro.exec import CorruptChunkError, ExecTimeout, GranuleError
+from repro.exec import (CorruptChunkError, ExecTimeout, GranuleError,
+                        Plan, execute)
 from repro.exec.run import ExecStats
 from repro.faults import FaultInjector, SimulatedCrash
 from repro.mutate import MutableTable, recover_with_report
 from repro.mutate.wal import WriteAheadLog, wal_file_name
-from repro.store import Table, TableWriter, scrub_table, write_table
+from repro.store import (StoreSource, Table, TableWriter, scrub_table,
+                         write_table)
 from repro.store import cli as store_cli
 from repro.store import format as store_format
 from repro.store.format import (
@@ -709,14 +711,28 @@ if HAVE_HYPOTHESIS:
 
 
 # -------------------------------------------------- executor resilience
+def _assert_call_threads_joined(before: int) -> None:
+    """An explicit ``threads=N`` runs on a private scheduler whose
+    workers are joined before ``execute`` returns or raises."""
+    assert not [t for t in threading.enumerate()
+                if t.name.startswith("repro-exec-call")]
+    assert threading.active_count() <= before
+
+
 class TestExecutorResilience:
     def test_timeout_raises_with_partial_stats(self, small_table):
         directory, _ = small_table
         inj = FaultInjector().slow_at("chunk.read", delay_s=0.05,
                                       times=None)
+        before = threading.active_count()
         with inj, Table.open(directory, cache_bytes=0) as table:
             with pytest.raises(ExecTimeout) as info:
                 table.scan(threads=2, timeout_s=0.02)
+            _assert_call_threads_joined(before)
+            with pytest.raises(ExecTimeout):
+                execute(Plan.scan(None), StoreSource(table), threads=3,
+                        timeout_s=0.02)
+            _assert_call_threads_joined(before)
         assert isinstance(info.value.stats, ExecStats)
         assert "timeout_s=0.02" in str(info.value)
 
@@ -742,9 +758,18 @@ class TestExecutorResilience:
         directory, _ = small_table
         inj = FaultInjector().fail_at("chunk.read", error=errno.EIO,
                                       times=None)
+        before = threading.active_count()
         with inj, Table.open(directory, cache_bytes=0) as table:
             with pytest.raises(GranuleError) as info:
                 table.scan(threads=2)
+            _assert_call_threads_joined(before)
+            with pytest.raises(GranuleError):
+                execute(Plan.scan(None), StoreSource(table), threads=3)
+            _assert_call_threads_joined(before)
+        with Table.open(directory, cache_bytes=0) as table:
+            res = execute(Plan.scan(None), StoreSource(table), threads=3)
+            assert res.n_rows == 12000
+            _assert_call_threads_joined(before)
         err = info.value
         assert isinstance(err.cause, OSError)
         assert err.cause.errno == errno.EIO
@@ -778,6 +803,11 @@ class TestExecutorResilience:
                 table.scan(on_corruption="explode")
             with pytest.raises(ValueError, match="timeout_s"):
                 table.scan(timeout_s=0)
+            for threads in (0, -1):
+                with pytest.raises(ValueError,
+                                   match=f"threads must be positive, "
+                                         f"got {threads}"):
+                    table.scan(threads=threads)
 
 
 # ---------------------------------------------------------- writer cleanup

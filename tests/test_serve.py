@@ -585,7 +585,7 @@ class TestTableServer:
         _, columns = served_root
         client.query("events", _selective_plan(columns))
         stats = client.stats()
-        assert stats["mode"] == "shared-scheduler"
+        assert stats["scheduler"]["tier"] == "thread"
         assert stats["queries_ok"] >= 1
         assert stats["qps"] > 0
         assert {"p50", "p90", "p99"} <= set(stats["latency_ms"])
@@ -752,6 +752,20 @@ class TestServeMain:
             if proc.poll() is None:
                 proc.kill()
                 proc.wait()
+
+    def test_slow_query_log_requires_threshold(self, served_root, tmp_path,
+                                               capsys):
+        from repro.serve.__main__ import main as serve_main
+
+        root, _ = served_root
+        log = str(tmp_path / "slow.jsonl")
+        with pytest.raises(ValueError, match="requires slow_query_ms"):
+            TableServer(root, slow_query_log=log)
+        with pytest.raises(SystemExit) as info:
+            serve_main(["--root", root, "--slow-query-log", log])
+        assert info.value.code == 2
+        assert "requires slow_query_ms" in capsys.readouterr().err
+        assert not os.path.exists(log)
 
 
 # --------------------------------------------------------- CLI timeout-s
