@@ -15,7 +15,8 @@ in-memory row-grouped file (``ParquetSource``, model-derived bounds via
 the codecs' ``supports_model_bounds`` capability).  Also verifies the
 acceptance path: one logical 2-predicate filter + groupby-avg plan
 returns identical groups on both backends, and the 1-predicate version
-matches the legacy ``run_filter_groupby_query`` answer exactly.
+matches the Fig. 18 plan over a ``(ts, id, val)`` ``ParquetSource``
+exactly.
 
 Writes ``BENCH_exec.json`` with wall clocks, speedups, pruning counts,
 an ``explain()`` transcript of the selective store query, and pass/fail
@@ -36,8 +37,7 @@ import time
 import numpy as np
 
 from repro.datasets import sensor_fixture
-from repro.engine import ParquetLikeFile, ParquetSource, \
-    run_filter_groupby_query
+from repro.engine import IOModel, ParquetLikeFile, ParquetSource
 from repro.exec import Plan, col
 from repro.store import Table, write_table
 from repro.store.executor import StoreSource
@@ -142,7 +142,7 @@ def run(directory: str, n: int, repeats: int) -> dict:
                             pushed.stats.granules_pruned > 0
                             and "pruned" in explain_transcript)
 
-        # acceptance: one logical groupby plan, both backends, == legacy
+        # acceptance: one logical groupby plan, both backends, == Fig. 18
         lo, hi = _ts_window(columns["ts"], SELECTIVITIES[1])
         expr2, mask2 = _predicate(columns, 2, lo, hi)
         agg = (Plan.scan()
@@ -163,7 +163,11 @@ def run(directory: str, n: int, repeats: int) -> dict:
             {"ts": columns["ts"], "id": columns["sensor_id"],
              "val": columns["reading"]}, "leco",
             row_group_size=max(n // 24, 2048), partition_size=1024)
-        legacy = run_filter_groupby_query(legacy_file, lo, hi).answer
+        fig18 = (Plan.scan(["id", "val"])
+                 .where(col("ts").between(lo, hi))
+                 .aggregate({"avg": ("avg", "val")}, group_by="id"))
+        legacy = {k: v["avg"] for k, v in fig18.execute(
+            ParquetSource(legacy_file, io=IOModel())).groups.items()}
         one_pred = (Plan.scan()
                     .where(col("ts").between(lo, hi))
                     .aggregate({"avg": ("avg", "reading")},

@@ -10,8 +10,9 @@ import sys
 
 from repro.bench import render_table
 from repro.datasets import load
-from repro.engine import ParquetLikeFile, run_bitmap_aggregation, \
+from repro.engine import IOModel, ParquetLikeFile, ParquetSource, \
     zipf_cluster_bitmap
+from repro.exec import Bitmap, Plan
 
 sys.path.insert(0, __file__.rsplit("/", 1)[0])
 from _common import emit, headline
@@ -22,6 +23,10 @@ ENCODINGS = ["dict", "for", "leco"]
 def run_experiment(n: int = 60_000) -> str:
     values = load("ml", n=n).values
     bitmap = zipf_cluster_bitmap(n, 0.0001, seed=3)
+    plan = (Plan.scan(["v"])
+            .where(Bitmap(bitmap))
+            .aggregate({"total": ("sum", "v")}))
+    reference = None
     rows = []
     for enc in ENCODINGS:
         for compressed in (False, True):
@@ -29,13 +34,18 @@ def run_experiment(n: int = 60_000) -> str:
                                          row_group_size=10_000,
                                          partition_size=1000,
                                          block_compression=compressed)
-            result = run_bitmap_aggregation(file, "v", bitmap)
+            res = plan.execute(ParquetSource(file, io=IOModel()))
+            if reference is None:
+                reference = res.groups
+            assert res.groups == reference, (enc, compressed)
+            stats = res.stats
+            groupby_s = stats.cpu_gather_s + stats.cpu_aggregate_s
             rows.append([
                 enc, "on" if compressed else "off",
                 f"{file.file_size_bytes() / 1e6:.3f}MB",
-                f"{result.cpu_groupby_s * 1e3:.2f}",
-                f"{result.io_s * 1e3:.3f}",
-                f"{result.total_s * 1e3:.2f}",
+                f"{groupby_s * 1e3:.2f}",
+                f"{stats.io_s * 1e3:.3f}",
+                f"{stats.total_s * 1e3:.2f}",
             ])
     return headline(
         "Figure 21: time breakdown with block compression",

@@ -157,7 +157,8 @@ def run(n: int, client_counts) -> dict:
     root, columns = _build_root(n)
     workload = _workload(columns)
     results: dict[str, dict] = {"shared": {}, "pool_per_query": {}}
-    checks: dict[str, bool] = {"responses_correct": True}
+    checks: dict[str, bool] = {"responses_correct": True,
+                               "server_counts_exact": True}
     try:
         for mode in results:
             for n_clients in client_counts:
@@ -168,11 +169,15 @@ def run(n: int, client_counts) -> dict:
                     server.scheduler = PoolPerQuery(WORKERS)
                 server.start()
                 try:
-                    _drive(server, 1, workload)  # warm cache + threads
+                    warm = _drive(server, 1, workload)  # cache + threads
                     entry = _drive(server, n_clients, workload)
                     entry["server"] = {
                         k: server.stats()[k]
                         for k in ("queries_ok", "rejected_busy")}
+                    driven = warm["requests"] + entry["requests"]
+                    if entry["server"] != {"queries_ok": driven,
+                                           "rejected_busy": 0}:
+                        checks["server_counts_exact"] = False
                     entry["cache_hit_rate"] = \
                         server.stats()["cache"]["hit_rate"]
                 finally:

@@ -12,7 +12,8 @@ Run:  python examples/sensor_analytics.py
 import numpy as np
 
 from repro.datasets.synthetic import gen_ml
-from repro.engine import ParquetLikeFile, run_filter_groupby_query
+from repro.engine import IOModel, ParquetLikeFile, ParquetSource
+from repro.exec import Plan, col
 
 N = 80_000
 rng = np.random.default_rng(7)
@@ -27,20 +28,26 @@ ts = table["ts"]
 lo, hi = int(ts[N // 2]), int(ts[N // 2 + N // 200])
 
 print(f"\nquery: SELECT AVG(val) WHERE {lo} <= ts < {hi} GROUP BY id\n")
+plan = (Plan.scan(["id", "val"])
+        .where(col("ts").between(lo, hi))
+        .aggregate({"avg": ("avg", "val")}, group_by="id"))
 print(f"{'encoding':>8}  {'file':>9}  {'filter':>9}  {'groupby':>9}  "
       f"{'io':>8}  {'total':>9}")
 reference = None
 for encoding in ("dict", "delta", "for", "leco"):
     file = ParquetLikeFile.write(table, encoding, row_group_size=20_000,
                                  partition_size=1000)
-    result = run_filter_groupby_query(file, lo, hi)
+    res = plan.execute(ParquetSource(file, io=IOModel()))
+    answer = {key: row["avg"] for key, row in res.groups.items()}
     if reference is None:
-        reference = result.answer
-    assert result.answer == reference, "encodings must agree"
+        reference = answer
+    assert answer == reference, "encodings must agree"
+    stats = res.stats
+    groupby_s = stats.cpu_gather_s + stats.cpu_aggregate_s
     print(f"{encoding:>8}  {file.file_size_bytes() / 1e6:7.2f}MB  "
-          f"{result.cpu_filter_s * 1e3:7.1f}ms  "
-          f"{result.cpu_groupby_s * 1e3:7.1f}ms  "
-          f"{result.io_s * 1e3:6.2f}ms  {result.total_s * 1e3:7.1f}ms")
+          f"{stats.cpu_filter_s * 1e3:7.1f}ms  "
+          f"{groupby_s * 1e3:7.1f}ms  "
+          f"{stats.io_s * 1e3:6.2f}ms  {stats.total_s * 1e3:7.1f}ms")
 
 groups = len(reference)
 print(f"\nanswer: {groups} sensor groups; e.g. "

@@ -4,23 +4,12 @@ from repro.engine.array import ENCODINGS, EncodedColumn
 from repro.engine.blockzstd import block_compress, block_decompress
 from repro.engine.dictjoin import ProbeResult, run_hash_probe
 from repro.engine.io import IOModel
-from repro.engine.ops import (
-    bitmap_sum,
-    filter_to_bitmap,
-    groupby_avg,
-    groupby_sum_count,
-    zipf_cluster_bitmap,
-)
+from repro.engine.ops import zipf_cluster_bitmap
 from repro.engine.parquet import (
     ColumnChunk,
     ParquetLikeFile,
     ParquetSource,
     RowGroup,
-)
-from repro.engine.queries import (
-    QueryResult,
-    run_bitmap_aggregation,
-    run_filter_groupby_query,
 )
 
 __all__ = [
@@ -31,16 +20,9 @@ __all__ = [
     "ProbeResult",
     "run_hash_probe",
     "IOModel",
-    "bitmap_sum",
-    "filter_to_bitmap",
-    "groupby_avg",
-    "groupby_sum_count",
     "zipf_cluster_bitmap",
     "ColumnChunk",
     "ParquetLikeFile",
     "ParquetSource",
     "RowGroup",
-    "QueryResult",
-    "run_bitmap_aggregation",
-    "run_filter_groupby_query",
 ]

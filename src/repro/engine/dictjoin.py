@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.baselines.leco import FORCodec, LecoCodec
-from repro.engine.io import IODelta, IOModel
+from repro.engine.io import IOModel
 from repro.exec import ArraySource, Bitmap, Plan
 
 PAGE_BYTES = 4096
@@ -91,8 +91,7 @@ def run_hash_probe(probe_values: np.ndarray, method: str,
                    io: IOModel | None = None,
                    seed: int = 5) -> ProbeResult:
     """Filter -> dictionary decode -> hash probe, under a memory budget."""
-    delta = IODelta(io or IOModel())
-    io = delta.io
+    io = io or IOModel()
     rng = np.random.default_rng(seed)
     probe_values = np.asarray(probe_values, dtype=np.int64)
 
@@ -119,14 +118,15 @@ def run_hash_probe(probe_values: np.ndarray, method: str,
     res = plan.execute(source)
 
     # each non-resident dictionary access is a page miss, charged onto
-    # the caller's accumulator; the throughput uses this probe's delta
+    # the caller's accumulator; the throughput uses this probe's misses
     misses = int(res.stats.rows_scanned * miss_fraction)
     io.bytes_read += misses * PAGE_BYTES
     io.reads += misses
 
     cpu = (res.stats.cpu_filter_s + res.stats.cpu_gather_s
            + res.stats.cpu_join_s)
-    total = cpu + delta.seconds
+    total = cpu + misses * (PAGE_BYTES / io.bandwidth_bytes_per_s
+                            + io.latency_s)
     raw_bytes = probe_values.nbytes
     return ProbeResult(
         throughput_gbps=raw_bytes / total / 1e9,

@@ -40,29 +40,3 @@ class IOModel:
         self.bytes_read = 0
         self.reads = 0
 
-
-class IODelta:
-    """One operation's charges against a shared accumulator model.
-
-    The ``run_*`` query helpers treat a caller-supplied :class:`IOModel`
-    as a running total: they charge onto it but never reset it, and
-    report their own consumption as the delta since this snapshot.
-    """
-
-    def __init__(self, io: IOModel):
-        self.io = io
-        self._bytes0 = io.bytes_read
-        self._reads0 = io.reads
-
-    @property
-    def bytes_read(self) -> int:
-        return self.io.bytes_read - self._bytes0
-
-    @property
-    def reads(self) -> int:
-        return self.io.reads - self._reads0
-
-    @property
-    def seconds(self) -> float:
-        return (self.bytes_read / self.io.bandwidth_bytes_per_s
-                + self.reads * self.io.latency_s)

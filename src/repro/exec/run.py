@@ -181,6 +181,18 @@ class ExecStats:
         return self.cpu_s + self.io_s
 
 
+def granule_span_attrs(index: int, stats: ExecStats) -> dict:
+    """Attrs of a trace's "granule" span, from that granule's stats.
+    The one definition both the in-process path and the process tier's
+    span adoption use, so granule spans sum exactly to the query's
+    :class:`ExecStats`."""
+    return {"granule": index,
+            "pruned": bool(stats.granules_pruned),
+            "cache_hits": stats.cache_hits,
+            "cache_misses": stats.cache_misses,
+            "rows": stats.rows_scanned}
+
+
 @dataclass
 class ExecResult:
     """Output of one execution: rows or groups, plus accounting."""
@@ -552,11 +564,7 @@ class GranulePipeline:
                 column=where["column"]) from err
         if trace is not None:
             trace.add("granule", t_span, trace.now(),
-                      granule=granule.index,
-                      pruned=bool(st.granules_pruned),
-                      cache_hits=st.cache_hits,
-                      cache_misses=st.cache_misses,
-                      rows=st.rows_scanned)
+                      **granule_span_attrs(granule.index, st))
         return part
 
     def _pipeline(self, granule, st: ExecStats, load, trace) -> _Partial:

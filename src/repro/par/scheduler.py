@@ -35,6 +35,7 @@ import time
 
 from repro.exec.errors import GranuleError
 from repro.exec.pool import MorselScheduler, _Job, auto_workers
+from repro.exec.run import granule_span_attrs
 from repro.obs import metrics as obs_metrics
 from repro.par.worker import revive_error, worker_main
 
@@ -422,7 +423,8 @@ class ProcessScheduler(MorselScheduler):
         """Fold a worker partial's spans into the query trace.  The
         wire carries ``(granule_start, granule_end, extra_spans)`` —
         the "granule" span's attrs are resynthesized here from
-        ``part.stats`` (the worker ships only its two timestamps; see
+        ``part.stats`` by :func:`~repro.exec.run.granule_span_attrs`
+        (the worker ships only its two timestamps; see
         :meth:`repro.par.worker.WorkerState.run_granule`)."""
         wire = getattr(part, "spans", None)
         if not wire:
@@ -435,14 +437,10 @@ class ProcessScheduler(MorselScheduler):
         proc = f"w{lane.index}"
         g_start, g_end, extra = wire
         if g_start is not None:
-            st = part.stats
+            attrs = granule_span_attrs(getattr(item, "index", item),
+                                       part.stats)
             job.trace.adopt(
-                [("granule", g_start, g_end, lane.tid,
-                  {"granule": getattr(item, "index", item),
-                   "pruned": bool(st.granules_pruned),
-                   "cache_hits": st.cache_hits,
-                   "cache_misses": st.cache_misses,
-                   "rows": st.rows_scanned})],
+                [("granule", g_start, g_end, lane.tid, attrs)],
                 shift=shift, pid=pid, proc=proc)
         if extra:
             job.trace.adopt(extra, shift=shift, pid=pid, proc=proc)

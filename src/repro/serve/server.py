@@ -57,11 +57,24 @@ LATENCY_WINDOW = 4096
 _M_REQUESTS = obs_metrics.counter(
     "repro_serve_requests_total", "wire requests by op and status",
     labels=("op", "status"))
+#: request op labels: the wire ops, plus "invalid" for anything else
+_REQUEST_OPS = wire.OPS + ("invalid",)
+#: every (op, status) child, bound once — ``TableServer.stats()``
+#: reads the same children
+_M_REQUEST_STATUS = {
+    (op, status): _M_REQUESTS.labels(op=op, status=status)
+    for op in _REQUEST_OPS for status in ("ok", "error", "busy")}
 _M_REQUEST_SECONDS = obs_metrics.histogram(
     "repro_serve_request_seconds", "wire request handling time")
 _M_SLOW_QUERIES = obs_metrics.counter(
     "repro_serve_slow_queries_total",
     "queries recorded to the slow-query log")
+
+
+def _request_counts() -> dict:
+    """Current value of every bound ``repro_serve_requests_total``
+    child, keyed ``(op, status)``."""
+    return {key: child.value for key, child in _M_REQUEST_STATUS.items()}
 
 
 class _MetricsHandler(http.server.BaseHTTPRequestHandler):
@@ -91,6 +104,14 @@ class TableServer:
     :class:`repro.par.ProcessScheduler` — granule decode runs in worker
     processes, escaping the GIL on multi-core boxes.  ``slow_query_log``
     needs ``slow_query_ms``: the threshold decides what gets logged.
+
+    The ``/stats`` request counts are reads of
+    ``repro_serve_requests_total`` minus its values when this server
+    was constructed, so servers run one after another in one process
+    each report their own traffic.  Servers running *concurrently* in
+    one process share the series and see each other's requests, and
+    the obs kill switch (``set_enabled(False)``,
+    ``REPRO_OBS_DISABLED=1``) freezes the counts.
     """
 
     def __init__(self, root: str, host: str = "127.0.0.1", port: int = 0,
@@ -108,6 +129,9 @@ class TableServer:
                              f"'process', got {worker_tier!r}")
         if slow_query_log is not None and slow_query_ms is None:
             raise ValueError("slow_query_log requires slow_query_ms")
+        if default_timeout_s is not None and default_timeout_s <= 0:
+            raise ValueError(f"default_timeout_s must be positive, got "
+                             f"{default_timeout_s}")
         self.root = root
         self.default_timeout_s = default_timeout_s
         self.worker_tier = worker_tier
@@ -132,12 +156,8 @@ class TableServer:
         self.cache = ChunkCache(cache_bytes)
         self._tables: dict[str, tuple[Table, StoreSource]] = {}
         self._tables_lock = threading.Lock()
-        self._stats_lock = threading.Lock()
         self._latencies = ReservoirQuantiles(LATENCY_WINDOW)
-        self.queries_total = 0
-        self.queries_ok = 0
-        self.queries_err = 0
-        self.rejected_busy = 0
+        self._requests0 = _request_counts()
         self._started = time.perf_counter()
         self._draining = threading.Event()
         self._conn_threads: list[threading.Thread] = []
@@ -289,45 +309,36 @@ class TableServer:
     def _serve_one(self, req: dict) -> dict:
         start = time.perf_counter()
         op = req.get("op")
-        op_label = op if op in wire.OPS else "invalid"
         try:
-            response = self._handle_request(req)
+            response, status = self._handle_request(req), "ok"
         except ServerBusy as err:
-            with self._stats_lock:
-                self.queries_total += 1
-                self.rejected_busy += 1
-            self._charge_request(op_label, "busy", start)
-            return wire.error_response(err)
+            response, status = wire.error_response(err), "busy"
         except Exception as err:  # typed, one line, server stays up
-            with self._stats_lock:
-                self.queries_total += 1
-                self.queries_err += 1
-            self._charge_request(op_label, "error", start)
-            return wire.error_response(err)
+            response, status = wire.error_response(err), "error"
         elapsed = time.perf_counter() - start
-        with self._stats_lock:
-            self.queries_total += 1
-            if op in ("query", "explain"):
-                self.queries_ok += 1
-                self._latencies.observe(elapsed)
-        self._charge_request(op_label, "ok", start)
+        if status == "ok" and op in ("query", "explain"):
+            self._latencies.observe(elapsed)
+        _M_REQUEST_STATUS[op if op in wire.OPS else "invalid",
+                          status].inc()
+        _M_REQUEST_SECONDS.observe(elapsed)
         return response
-
-    def _charge_request(self, op: str, status: str, start: float) -> None:
-        _M_REQUESTS.labels(op=op, status=status).inc()
-        _M_REQUEST_SECONDS.observe(time.perf_counter() - start)
 
     # -------------------------------------------------------------- stats
     def stats(self) -> dict:
         """The ``/stats`` report: load, latency, cache, scheduler."""
         uptime = time.perf_counter() - self._started
-        with self._stats_lock:
-            totals = {
-                "queries_total": self.queries_total,
-                "queries_ok": self.queries_ok,
-                "queries_err": self.queries_err,
-                "rejected_busy": self.rejected_busy,
-            }
+        counts = {key: value - self._requests0[key]
+                  for key, value in _request_counts().items()}
+
+        def tally(status: str, ops=_REQUEST_OPS) -> int:
+            return int(sum(counts[op, status] for op in ops))
+
+        totals = {
+            "queries_total": int(sum(counts.values())),
+            "queries_ok": tally("ok", ("query", "explain")),
+            "queries_err": tally("error"),
+            "rejected_busy": tally("busy"),
+        }
         p50, p90, p99 = self._latencies.quantiles(0.50, 0.90, 0.99)
         sched = self.scheduler.stats()
         return {

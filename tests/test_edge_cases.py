@@ -150,14 +150,19 @@ class TestStringEdgeCases:
 
 class TestEngineEdgeCases:
     def test_single_row_table_query(self):
-        from repro.engine import ParquetLikeFile, run_filter_groupby_query
+        from repro.engine import IOModel, ParquetLikeFile, ParquetSource
+        from repro.exec import Plan, col
 
         table = {"ts": np.array([5], dtype=np.int64),
                  "id": np.array([1], dtype=np.int64),
                  "val": np.array([10], dtype=np.int64)}
         file = ParquetLikeFile.write(table, "leco")
-        result = run_filter_groupby_query(file, 0, 10)
-        assert result.answer == {1: 10.0}
+        plan = (Plan.scan(["id", "val"])
+                .where(col("ts").between(0, 10))
+                .aggregate({"avg": ("avg", "val")}, group_by="id"))
+        res = plan.execute(ParquetSource(file, io=IOModel()))
+        assert {k: row["avg"] for k, row in res.groups.items()} \
+            == {1: 10.0}
 
     def test_filter_range_spanning_everything(self):
         from repro.engine import EncodedColumn
@@ -168,14 +173,18 @@ class TestEngineEdgeCases:
         assert col.filter_range(lo, hi).all()
 
     def test_bitmap_all_ones(self):
-        from repro.engine import ParquetLikeFile, run_bitmap_aggregation
+        from repro.engine import IOModel, ParquetLikeFile, ParquetSource
+        from repro.exec import Bitmap, Plan
 
         values = np.arange(2000, dtype=np.int64)
         file = ParquetLikeFile.write({"v": values}, "leco",
                                      row_group_size=500)
         bitmap = np.ones(2000, dtype=bool)
-        result = run_bitmap_aggregation(file, "v", bitmap)
-        assert result.answer == int(values.sum())
+        plan = (Plan.scan(["v"])
+                .where(Bitmap(bitmap))
+                .aggregate({"total": ("sum", "v")}))
+        res = plan.execute(ParquetSource(file, io=IOModel()))
+        assert res.groups[None]["total"] == int(values.sum())
 
 
 class TestKVStoreEdgeCases:

@@ -10,14 +10,13 @@ from repro.engine import (
     EncodedColumn,
     IOModel,
     ParquetLikeFile,
+    ParquetSource,
     block_compress,
     block_decompress,
-    run_bitmap_aggregation,
-    run_filter_groupby_query,
     run_hash_probe,
     zipf_cluster_bitmap,
 )
-from repro.engine.ops import bitmap_sum, groupby_avg
+from repro.exec import Bitmap, Plan, col
 
 int_columns = st.lists(st.integers(-(1 << 40), 1 << 40), min_size=1,
                        max_size=300).map(
@@ -148,6 +147,24 @@ class TestParquetFile:
         assert encoded < plain
 
 
+def _filter_groupby(file, lo, hi, io=None):
+    """The Fig. 18 plan: AVG(val) WHERE lo <= ts < hi GROUP BY id."""
+    plan = (Plan.scan(["id", "val"])
+            .where(col("ts").between(lo, hi))
+            .aggregate({"avg": ("avg", "val")}, group_by="id"))
+    res = plan.execute(ParquetSource(file, io=io or IOModel()))
+    return res, {key: row["avg"] for key, row in res.groups.items()}
+
+
+def _bitmap_total(file, column, bitmap, io=None):
+    """The Fig. 19 plan: SUM(column) over bitmap-selected rows."""
+    plan = (Plan.scan([column])
+            .where(Bitmap(bitmap))
+            .aggregate({"total": ("sum", column)}))
+    res = plan.execute(ParquetSource(file, io=io or IOModel()))
+    return res, res.groups[None]["total"] if res.groups else 0
+
+
 class TestQueries:
     def _file(self, encoding, n=8000):
         rng = np.random.default_rng(3)
@@ -165,34 +182,32 @@ class TestQueries:
         table, file = self._file(encoding)
         ts = table["ts"]
         lo, hi = int(ts[1000]), int(ts[2500])
-        result = run_filter_groupby_query(file, lo, hi)
+        res, answer = _filter_groupby(file, lo, hi)
         mask = (ts >= lo) & (ts < hi)
-        assert result.rows_selected == int(mask.sum())
+        assert res.stats.rows_scanned == int(mask.sum())
         # reference answer
         expected = {}
         for key in np.unique(table["id"][mask]):
             sel = mask & (table["id"] == key)
             expected[int(key)] = float(table["val"][sel].mean())
-        assert set(result.answer) == set(expected)
+        assert set(answer) == set(expected)
         for key in expected:
-            assert result.answer[key] == pytest.approx(expected[key],
-                                                       rel=1e-9)
+            assert answer[key] == pytest.approx(expected[key], rel=1e-9)
 
     def test_all_encodings_agree(self):
         answers = []
         for encoding in ("dict", "for", "delta", "leco"):
             table, file = self._file(encoding)
             ts = table["ts"]
-            result = run_filter_groupby_query(file, int(ts[100]),
-                                              int(ts[400]))
-            answers.append(result.answer)
+            _, answer = _filter_groupby(file, int(ts[100]), int(ts[400]))
+            answers.append(answer)
         assert all(a == answers[0] for a in answers)
 
     def test_empty_selection(self):
         _, file = self._file("leco")
-        result = run_filter_groupby_query(file, -100, -50)
-        assert result.rows_selected == 0
-        assert result.answer == {}
+        res, answer = _filter_groupby(file, -100, -50)
+        assert res.stats.rows_scanned == 0
+        assert answer == {}
 
     def test_avg_merges_exactly_across_row_groups(self):
         # group 7 straddles the row-group boundary unevenly (3 rows, then
@@ -205,24 +220,24 @@ class TestQueries:
                             dtype=np.int64),
         }
         file = ParquetLikeFile.write(table, "plain", row_group_size=4)
-        result = run_filter_groupby_query(file, 0, 8)
-        assert result.answer[7] == pytest.approx(50.0)
-        assert result.answer[1] == pytest.approx(8.0)
+        _, answer = _filter_groupby(file, 0, 8)
+        assert answer[7] == pytest.approx(50.0)
+        assert answer[1] == pytest.approx(8.0)
 
     def test_filter_groupby_leaves_callers_io_model_untouched(self):
         table, file = self._file("leco")
         ts = table["ts"]
         io = IOModel()
         io.charge(12_345)  # the caller's running totals must survive
-        result = run_filter_groupby_query(file, int(ts[1000]),
-                                          int(ts[2500]), io)
-        assert result.bytes_read > 0
-        assert io.bytes_read == 12_345 + result.bytes_read
-        assert io.reads == 1 + result.reads
-        # io_s reflects only this query's deltas, not the prior charge
-        expected = (result.bytes_read / io.bandwidth_bytes_per_s
-                    + result.reads * io.latency_s)
-        assert result.io_s == pytest.approx(expected)
+        res, _ = _filter_groupby(file, int(ts[1000]), int(ts[2500]), io)
+        stats = res.stats
+        assert stats.bytes_read > 0
+        assert io.bytes_read == 12_345 + stats.bytes_read
+        assert io.reads == 1 + stats.reads
+        # io_s reflects only this query's charges, not the prior one
+        expected = (stats.bytes_read / io.bandwidth_bytes_per_s
+                    + stats.reads * io.latency_s)
+        assert stats.io_s == pytest.approx(expected)
 
     def test_hash_probe_accumulates_io_deltas(self):
         rng = np.random.default_rng(6)
@@ -239,38 +254,31 @@ class TestQueries:
         table, file = self._file("leco")
         bitmap = zipf_cluster_bitmap(len(table["ts"]), 0.02, seed=4)
         io = IOModel()
-        first = run_bitmap_aggregation(file, "val", bitmap, io)
-        second = run_bitmap_aggregation(file, "val", bitmap, io)
-        assert first.bytes_read == second.bytes_read > 0
-        assert io.bytes_read == first.bytes_read + second.bytes_read
-        assert first.io_s == pytest.approx(second.io_s)
+        first, _ = _bitmap_total(file, "val", bitmap, io)
+        second, _ = _bitmap_total(file, "val", bitmap, io)
+        assert first.stats.bytes_read == second.stats.bytes_read > 0
+        assert io.bytes_read == (first.stats.bytes_read
+                                 + second.stats.bytes_read)
+        assert first.stats.io_s == pytest.approx(second.stats.io_s)
 
     @pytest.mark.parametrize("encoding", ["dict", "delta", "leco"])
     def test_bitmap_aggregation_matches_reference(self, encoding):
         table, file = self._file(encoding)
         bitmap = zipf_cluster_bitmap(len(table["ts"]), 0.02, seed=4)
-        result = run_bitmap_aggregation(file, "val", bitmap)
-        assert result.answer == int(table["val"][bitmap].sum())
+        _, total = _bitmap_total(file, "val", bitmap)
+        assert total == int(table["val"][bitmap].sum())
 
     def test_bitmap_aggregation_skips_row_groups(self):
         table, file = self._file("leco")
         bitmap = np.zeros(len(table["ts"]), dtype=bool)
         bitmap[:100] = True  # only the first row group is touched
         io = IOModel()
-        run_bitmap_aggregation(file, "val", bitmap, io)
+        _bitmap_total(file, "val", bitmap, io)
         first = file.row_groups[0].chunks["val"].stored_bytes()
         assert io.bytes_read == first
 
 
 class TestOps:
-    def test_groupby_avg_empty_bitmap(self):
-        col = EncodedColumn(np.arange(10), "plain")
-        assert groupby_avg(col, col, np.zeros(10, dtype=bool)) == {}
-
-    def test_bitmap_sum_empty(self):
-        col = EncodedColumn(np.arange(10), "plain")
-        assert bitmap_sum(col, np.zeros(10, dtype=bool)) == 0
-
     def test_zipf_bitmap_selectivity(self):
         bitmap = zipf_cluster_bitmap(100_000, 0.01)
         assert 0.004 <= bitmap.mean() <= 0.03

@@ -20,7 +20,6 @@ from repro.engine import (
     IOModel,
     ParquetLikeFile,
     ParquetSource,
-    run_filter_groupby_query,
 )
 from repro.exec import (
     And,
@@ -169,7 +168,8 @@ class TestBackendEquivalence:
 
     def test_two_pred_groupby_matches_legacy(self, backends):
         """The acceptance plan: 2-predicate filter + groupby-avg runs on
-        both backends and matches the legacy run_* path exactly."""
+        both backends and matches the Fig. 18 plan over a (ts, id, val)
+        file exactly."""
         columns, sources, file = backends
         ts = columns["ts"]
         lo, hi = int(ts[1000]), int(ts[2500])
@@ -187,20 +187,22 @@ class TestBackendEquivalence:
             sel = mask & (columns["sensor_id"] == key)
             assert row["avg"] == pytest.approx(
                 float(columns["reading"][sel].mean()), rel=1e-12)
-        # 1-predicate version == the legacy engine helper, bit for bit
+        # 1-predicate version == the Fig. 18 plan, bit for bit
         legacy_file = ParquetLikeFile.write(
             {"ts": ts, "id": columns["sensor_id"],
              "val": columns["reading"]}, "leco", row_group_size=1500,
             partition_size=250)
-        legacy = run_filter_groupby_query(legacy_file, lo, hi)
+        legacy = (Plan.scan(["id", "val"])
+                  .where(col("ts").between(lo, hi))
+                  .aggregate({"avg": ("avg", "val")}, group_by="id")
+                  .execute(ParquetSource(legacy_file, io=IOModel())))
         one_pred = (Plan.scan()
                     .where(col("ts").between(lo, hi))
                     .aggregate({"avg": ("avg", "reading")},
                                group_by="sensor_id"))
         for name in ("store", "parquet"):
             groups = one_pred.execute(sources[name]).groups
-            assert {k: v["avg"] for k, v in groups.items()} \
-                == legacy.answer, name
+            assert groups == legacy.groups, name
 
     def test_explain_reports_pruning(self, backends):
         columns, sources, _ = backends

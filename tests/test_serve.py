@@ -593,6 +593,28 @@ class TestTableServer:
         assert stats["scheduler"]["workers"] >= 1
         assert stats["tables"] == ["events"]
 
+    def test_stats_counts_are_exact_per_server(self, served_root):
+        """Servers run one after another in one process each count
+        exactly their own requests: the counts are registry reads
+        against the values captured when the server was built."""
+        root, columns = served_root
+        for _ in range(2):
+            with TableServer(root) as srv:
+                host, port = srv.address
+                with ServeClient(host, port) as c:
+                    for _ in range(3):
+                        c.query("events", _selective_plan(columns))
+                    with pytest.raises(RuntimeError,
+                                       match="unknown table"):
+                        c.query("nope", Plan.scan(None))
+                    assert c.ping() == "pong"
+                    stats = c.stats()
+            assert stats["queries_total"] == 5
+            assert stats["queries_ok"] == 3
+            assert stats["queries_err"] == 1
+            assert stats["rejected_busy"] == 0
+            assert stats["latency_ms"]["observed"] == 3
+
     def test_unknown_table_is_typed_one_liner(self, client):
         with pytest.raises(RuntimeError, match="unknown table 'nope'"):
             client.query("nope", Plan.scan(None))
@@ -766,6 +788,17 @@ class TestServeMain:
         assert info.value.code == 2
         assert "requires slow_query_ms" in capsys.readouterr().err
         assert not os.path.exists(log)
+
+    def test_timeout_must_be_positive(self, served_root, capsys):
+        from repro.serve.__main__ import main as serve_main
+
+        root, _ = served_root
+        with pytest.raises(ValueError, match="must be positive"):
+            TableServer(root, default_timeout_s=0)
+        with pytest.raises(SystemExit) as info:
+            serve_main(["--root", root, "--timeout-s", "0"])
+        assert info.value.code == 2
+        assert "must be positive" in capsys.readouterr().err
 
 
 # --------------------------------------------------------- CLI timeout-s
