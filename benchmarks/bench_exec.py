@@ -9,6 +9,12 @@ twice per backend:
 * **naive** — ``pushdown=False, prune=False``: decode every needed
   column fully, then filter (the decode-all-then-filter baseline).
 
+A ``covered_range`` shape times a grouped aggregate over a ``ts``
+range spanning whole store granules: the zone maps prove the predicate
+for every interior granule, so those granules run no filter and never
+load their ``ts`` chunk (checks ``covered_matches_naive`` and
+``covered_skips_predicate_chunks``).
+
 Backends are the persistent store (``StoreSource``, chunk-level zone
 maps from the footer catalog, cache disabled for honest bytes) and the
 in-memory row-grouped file (``ParquetSource``, model-derived bounds via
@@ -86,6 +92,61 @@ def _ts_window(ts: np.ndarray, selectivity: float):
     return int(ts[i0]), int(ts[i1])
 
 
+def _covered_range(source, columns, repeats: int):
+    """Grouped aggregate over a ``ts`` range from one granule edge to
+    another (the middle half of the table), not projecting ``ts``."""
+    ts = columns["ts"]
+    granules = source.granules()
+    first, last = len(granules) // 4, 3 * len(granules) // 4
+    lo = int(ts[granules[first].row_start])
+    hi = int(ts[granules[last].row_start])
+    mask = (ts >= lo) & (ts < hi)
+    plan = (Plan.scan(PROJECTION).where(col("ts").between(lo, hi))
+            .aggregate({"s": ("sum", "reading"), "c": ("count", "reading")},
+                       group_by="sensor_id"))
+    t_push, pushed = _measure(lambda: plan.execute(source), repeats)
+    t_naive, naive = _measure(
+        lambda: plan.execute(source, prune=False, pushdown=False), repeats)
+    sid, reading = columns["sensor_id"][mask], columns["reading"][mask]
+    reference = {int(k): {"s": int(reading[sid == k].sum()),
+                          "c": int((sid == k).sum())}
+                 for k in np.unique(sid)}
+    # chunks the pushdown run must charge: each unpruned granule loads
+    # its ts chunk unless the zone map covers the range, and its
+    # projected chunks when any row survives
+    covered = expected_chunks = 0
+    for g in granules:
+        zmin, zmax = source.bounds(g, "ts")
+        if zmax < lo or zmin >= hi:
+            continue
+        is_covered = lo <= zmin and zmax < hi
+        covered += is_covered
+        expected_chunks += (not is_covered) + len(PROJECTION) * bool(
+            mask[g.row_start: g.row_start + g.n_rows].any())
+    entry = {
+        "rows_out": int(mask.sum()),
+        "pushdown_ms": t_push * 1e3,
+        "naive_ms": t_naive * 1e3,
+        "speedup": t_naive / max(t_push, 1e-9),
+        "granules_pruned": pushed.stats.granules_pruned,
+        "granules_total": pushed.stats.granules_total,
+        "granules_covered": covered,
+        "chunks_scanned_pushdown": pushed.stats.chunks_scanned,
+        "chunks_scanned_naive": naive.stats.chunks_scanned,
+        "bytes_read_pushdown": pushed.stats.bytes_read,
+        "bytes_read_naive": naive.stats.bytes_read,
+    }
+    checks = {
+        "covered_matches_naive": bool(
+            pushed.groups == naive.groups == reference),
+        "covered_skips_predicate_chunks": bool(
+            covered > 0
+            and pushed.stats.chunks_scanned == expected_chunks
+            and pushed.stats.rows_scanned == int(mask.sum())),
+    }
+    return entry, checks
+
+
 def run(directory: str, n: int, repeats: int) -> dict:
     columns = sensor_fixture(n, seed=0)
     write_table(directory, columns, codec="auto",
@@ -141,6 +202,10 @@ def run(directory: str, n: int, repeats: int) -> dict:
                         checks["store_explain_reports_pruning"] = bool(
                             pushed.stats.granules_pruned > 0
                             and "pruned" in explain_transcript)
+
+        results["store"]["covered_range"], covered_checks = \
+            _covered_range(sources["store"], columns, repeats)
+        checks.update(covered_checks)
 
         # acceptance: one logical groupby plan, both backends, == Fig. 18
         lo, hi = _ts_window(columns["ts"], SELECTIVITIES[1])

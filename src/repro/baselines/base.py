@@ -109,15 +109,19 @@ class EncodedSequence(SelfDescribing, ABC):
     def decode_range(self, lo: int, hi: int) -> np.ndarray:
         """Decode positions ``[lo, hi)``.
 
-        Contract: the base implementation **falls back to a full decode**
-        and slices it — always correct, never better than O(n).  Formats
-        whose layout allows it (partitioned schemes like LeCo and Delta)
-        override this to decode only the partitions covering the range.
+        Contract: the base implementation hands the whole range to
+        :meth:`decode_all` and any other range to :meth:`gather` over
+        ``arange(lo, hi)``, so no codec decodes a range more slowly than
+        it gathers the same positions.  Formats whose layout allows a
+        cheaper contiguous read (partitioned schemes like LeCo and
+        Delta) override this to decode only the covering partitions.
         """
         n = len(self)
         if not 0 <= lo <= hi <= n:
             raise IndexError(f"bad range [{lo}, {hi}) for n={n}")
-        return self.decode_all()[lo:hi]
+        if lo == 0 and hi == n:
+            return self.decode_all()
+        return self.gather(np.arange(lo, hi, dtype=np.int64))
 
     def filter_range(self, lo: int, hi: int) -> np.ndarray:
         """Boolean bitmap of positions with ``lo <= value < hi``.

@@ -43,16 +43,21 @@ class LecoEncodedSequence(EncodedSequence):
         """Range predicate with model-based partition pruning (§5.1.1).
 
         Partitions whose model + residual-width band cannot intersect
-        ``[lo, hi)`` are skipped without touching their delta arrays.
+        ``[lo, hi)`` are skipped without touching their delta arrays;
+        partitions whose band lies inside ``[lo, hi)`` match whole,
+        again without decoding.  Only the partitions the band clips are
+        decoded and compared.
         """
         array = self.array
         if not array.partitions:
             return np.zeros(len(self), dtype=bool)
-        bitmap = np.zeros(len(self), dtype=bool)
         bounds = array.partition_value_bounds()
-        for j, part in enumerate(array.partitions):
-            if bounds[j, 1] < lo or bounds[j, 0] >= hi:
-                continue  # pruned: cannot contain matches
+        covered = (bounds[:, 0] >= lo) & (bounds[:, 1] < hi)
+        clipped = ~covered & (bounds[:, 1] >= lo) & (bounds[:, 0] < hi)
+        lengths = [part.length for part in array.partitions]
+        bitmap = np.repeat(covered, lengths)
+        for j in np.flatnonzero(clipped):
+            part = array.partitions[j]
             decoded = part.decode_slice(0, part.length)
             bitmap[part.start: part.end] = (decoded >= lo) & (decoded < hi)
         return bitmap
@@ -63,8 +68,8 @@ class LecoEncodedSequence(EncodedSequence):
         Aggregates :meth:`CompressedArray.partition_value_bounds` — no
         delta array is touched, so the store's zone maps come for free.
         Conservative: never excludes a stored value, may be loose (the
-        residual-width band, and non-monotone regressors widen to a
-        near-int64 sentinel range).
+        residual-width band, and non-monotone regressors widen to the
+        whole int64 domain).
         """
         if not self.array.partitions or len(self) == 0:
             return None

@@ -194,6 +194,7 @@ class CompressedArray:
                                 dtype=np.int64)
         self._index: LearnedSortedIndex | None = None
         self._serialized: bytes | None = None
+        self._value_bounds: np.ndarray | None = None
 
     # -------------------------------------------------------------- access
     def __len__(self) -> int:
@@ -324,7 +325,14 @@ class CompressedArray:
 
         Derived from the model band plus the residual width without touching
         the delta array — the basis of LeCo's filter pruning (§5.1.1).
+        Computed once per (immutable) array and returned read-only, so a
+        cached chunk pays the per-partition model inference only once.
+        Non-monotone models have no cheap sound band and report the whole
+        int64 domain, which every stored value lies in.
         """
+        if self._value_bounds is not None:
+            return self._value_bounds
+        i64 = np.iinfo(np.int64)
         bounds = np.empty((len(self.partitions), 2), dtype=np.int64)
         for j, part in enumerate(self.partitions):
             if part.length == 0:
@@ -337,13 +345,13 @@ class CompressedArray:
                 pred = part.model.predict_int(edge_pos)
                 pred_lo, pred_hi = int(pred.min()), int(pred.max())
             else:
-                # non-monotone models: no cheap sound bound, disable pruning
-                bounds[j] = (np.iinfo(np.int64).min // 2,
-                             np.iinfo(np.int64).max // 2)
+                bounds[j] = (i64.min, i64.max)
                 continue
             span = (1 << part.deltas.width) - 1 if part.deltas.width else 0
-            bounds[j, 0] = pred_lo + part.bias
-            bounds[j, 1] = pred_hi + part.bias + span
+            bounds[j, 0] = max(pred_lo + part.bias, i64.min)
+            bounds[j, 1] = min(pred_hi + part.bias + span, i64.max)
+        bounds.flags.writeable = False
+        self._value_bounds = bounds
         return bounds
 
     def decode_all_serial(self) -> np.ndarray:

@@ -1,11 +1,12 @@
 """Encoded columnar arrays — the engine's Arrow-array stand-in (§5.1).
 
 An :class:`EncodedColumn` stores one column under one of the paper's
-encodings and serves the three access patterns the execution engine needs:
+encodings and serves the four access patterns the execution engine needs:
 
 * ``filter_range`` — predicate evaluation producing a position bitmap, with
   LeCo's model-based partition pruning;
 * ``take`` — late-materialized batch random access driven by a bitmap;
+* ``decode_range`` — one contiguous run of surviving positions;
 * ``decode_all`` — full scan.
 
 The column is a thin consumer of the codec registry: the encoding name is
@@ -89,6 +90,10 @@ class EncodedColumn:
     def gather(self, positions: np.ndarray) -> np.ndarray:
         """Protocol alias of :meth:`take` (the exec layer's spelling)."""
         return self.take(positions)
+
+    def decode_range(self, lo: int, hi: int) -> np.ndarray:
+        """Decode the contiguous positions ``[lo, hi)``."""
+        return self._seq.decode_range(lo, hi)
 
     def filter_range(self, lo: int, hi: int) -> np.ndarray:
         """Positions with ``lo <= v < hi`` as a boolean bitmap.

@@ -78,6 +78,9 @@ class _DictionaryColumn:
         codes = self._codes[np.asarray(positions, dtype=np.int64)]
         return np.asarray(self._decode(codes), dtype=np.int64)
 
+    def decode_range(self, lo: int, hi: int) -> np.ndarray:
+        return np.asarray(self._decode(self._codes[lo:hi]), dtype=np.int64)
+
     def filter_range(self, lo: int, hi: int) -> np.ndarray:
         values = self.decode_all()
         return (values >= lo) & (values < hi)

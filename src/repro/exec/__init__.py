@@ -22,9 +22,10 @@ through, over any storage backend that implements the
 
 Predicates are small expression trees (AND/OR of per-column range,
 equality, IN, and positional bitmap terms).  The executor pushes
-pushable conjuncts down to the source — zone maps prune whole granules,
-``filter_range`` prunes inside surviving chunks where the codec allows
-— and evaluates the residual vectorized on gathered batches, morsel-
+pushable conjuncts down to the source — zone maps prune whole granules
+and drop range conjuncts they prove true, ``filter_range`` prunes inside
+surviving chunks where the codec allows — and evaluates the residual
+vectorized on batches read at the survivors, morsel-
 driven on a thread pool.  ``ExecStats`` unifies the accounting both old
 execution paths kept separately.
 """

@@ -6,17 +6,25 @@
 run inline, or on a :class:`~repro.exec.pool.MorselScheduler` — and per
 granule the pipeline is
 
-1. **Zone-map pruning** — ``expr.maybe_match`` against the source's
-   conservative per-column bounds; failing granules are skipped without
-   touching bytes (``prune=False`` disables, results identical).
+1. **Zone maps, both ways** — ``expr.maybe_match`` against the
+   source's conservative per-column bounds; failing granules are
+   skipped without touching bytes.  Dually, a pushed range conjunct
+   whose bounds lie inside ``[lo, hi)`` is true for every row of the
+   granule and is dropped for it: no ``filter_range``, and no load of
+   its column unless the plan needs the values.  ``prune=False``
+   disables both (the bounds are not read); results are identical.
 2. **Pushdown filtering** — positional :class:`Bitmap` conjuncts are
-   applied for free, then each pushable range conjunct runs through the
-   encoded sequence's ``filter_range`` (LeCo-family codecs prune again
-   at partition granularity inside the chunk).
+   applied for free, then each remaining range conjunct runs through
+   the encoded sequence's ``filter_range`` (LeCo-family codecs skip or
+   accept whole partitions from their model bands, and decode only the
+   partitions the range clips).
 3. **Residual predicate** — whatever the planner could not push (IN
    terms, OR trees, half-unbounded ranges) is evaluated vectorized on
-   batches gathered at the surviving positions only.
-4. **Late materialization** — output columns ``gather`` the survivors;
+   batches read at the surviving positions only.
+4. **Late materialization** — a granule with no filter left decodes
+   its output columns with ``decode_all``; survivors that form one
+   contiguous run (the edge granules of a sorted-key range) read it
+   with ``decode_range``; any other survivor set is ``gather``-ed.
    ``pushdown=False`` instead decodes every needed column fully and
    filters afterwards (the naive baseline ``BENCH_exec.json`` measures
    against).
@@ -397,6 +405,22 @@ def _finalize_groups(node: Aggregate, merged: dict) -> dict:
     return out
 
 
+# ---------------------------------------------------------------- pushdown
+def _covers(rng, band) -> bool:
+    """Does the conservative zone map ``band`` lie inside ``rng``, so
+    that every row of the granule satisfies it?"""
+    return band is not None and rng.lo <= band[0] and band[1] < rng.hi
+
+
+def _read(seq, positions: np.ndarray) -> np.ndarray:
+    """Values at sorted, unique, non-empty ``positions``: one contiguous
+    run is a ``decode_range``, anything else a ``gather``."""
+    first, last = int(positions[0]), int(positions[-1])
+    if last - first + 1 == positions.size:
+        return seq.decode_range(first, last + 1)
+    return seq.gather(positions)
+
+
 # -------------------------------------------------------------------- join
 def _probe(node: HashJoin, out: dict, row_ids: np.ndarray,
            output_cols: tuple):
@@ -575,6 +599,7 @@ class GranulePipeline:
         pushdown = self.pushdown
         residual = self.residual
         n = granule.n_rows
+        ranges = self.ranges
         if expr is not None and self.prune:
             bounds = {c: source.bounds(granule, c)
                       for c in self.pred_cols}
@@ -582,10 +607,15 @@ class GranulePipeline:
                 st.granules_pruned = 1
                 return _Partial(_EMPTY, {c: _EMPTY for c in output_cols},
                                 None, st)
+            # the dual of pruning: a conjunct the zone map proves true
+            # for every row filters nothing, so it is dropped here
+            ranges = {c: rng for c, rng in ranges.items()
+                      if not _covers(rng, bounds[c])}
 
         naive_batch: dict[str, np.ndarray] = {}
         residual_values: dict[str, np.ndarray] = {}
-        if expr is None:
+        if expr is None or (pushdown and not ranges and not self.bitmaps
+                            and residual is None):
             positions = None
         elif pushdown:
             t0 = time.perf_counter()
@@ -596,7 +626,7 @@ class GranulePipeline:
                 mask = local.copy() if mask is None else mask & local
             if self.bitmaps:
                 st.rows_masked += n - int(mask.sum())
-            for column, rng in self.ranges.items():
+            for column, rng in ranges.items():
                 if mask is not None and not mask.any():
                     break
                 if rng.is_empty:
@@ -607,13 +637,13 @@ class GranulePipeline:
             positions = np.arange(n, dtype=np.int64) if mask is None \
                 else np.flatnonzero(mask)
             if residual is not None and positions.size:
-                batch = {c: load(c).gather(positions)
+                batch = {c: _read(load(c), positions)
                          for c in sorted(residual.columns())}
                 keep = residual.evaluate(batch,
                                          granule.row_start + positions)
                 positions = positions[keep]
-                # the residual gather already decoded these columns at
-                # the surviving positions; reuse instead of re-gathering
+                # the residual batch already decoded these columns at
+                # the surviving positions; reuse instead of re-reading
                 residual_values = {c: values[keep]
                                    for c, values in batch.items()}
             st.cpu_filter_s += time.perf_counter() - t0
@@ -652,7 +682,7 @@ class GranulePipeline:
             elif not pushdown:
                 out[c] = load(c).decode_all()[positions]
             else:
-                out[c] = load(c).gather(positions)
+                out[c] = _read(load(c), positions)
         st.cpu_gather_s += time.perf_counter() - t0
         if trace is not None:
             trace.add("gather", t0 - trace.t0,

@@ -11,7 +11,12 @@ an in-memory slice) and answers three calls per granule:
   restricted to the granule, charging the supplied
   :class:`~repro.exec.run.ExecStats` for bytes touched/read.  The
   returned object speaks the sequence protocol the executor needs:
-  ``filter_range(lo, hi)``, ``gather(positions)``, ``decode_all()``.
+  ``filter_range(lo, hi)``, ``gather(positions)``,
+  ``decode_range(lo, hi)`` (granule-local positions; the executor
+  materialises a contiguous run of survivors with it) and
+  ``decode_all()``.  The executor loads a predicate column only when a
+  filter must actually run on it: a range conjunct the zone map proves
+  true for the whole granule costs no load.
 * :attr:`ColumnSource.parallel_safe` — whether granules may be executed
   concurrently (sources with unlocked accounting state say ``False``
   and the executor stays on one thread).
@@ -179,7 +184,13 @@ class ChainSource(ColumnSource):
 
 
 class _SliceView:
-    """Granule-local view of an ndarray or an encoded sequence."""
+    """Granule-local view of an ndarray or an encoded sequence.
+
+    Every read of a sequence backing goes through its
+    ``decode_range``/``gather``/``filter_range`` restricted to the
+    granule's rows, so a K-granule scan decodes each row once — never
+    the whole backing per granule.
+    """
 
     def __init__(self, backing, start: int, n: int):
         self._backing = backing
@@ -189,14 +200,17 @@ class _SliceView:
     def __len__(self) -> int:
         return self._n
 
-    def _values(self) -> np.ndarray:
+    def decode_range(self, lo: int, hi: int) -> np.ndarray:
+        if not 0 <= lo <= hi <= self._n:
+            raise IndexError(f"bad range [{lo}, {hi}) for n={self._n}")
+        start = self._start
         if isinstance(self._backing, np.ndarray):
-            return self._backing[self._start: self._start + self._n]
-        return self._backing.decode_all()[self._start:
-                                          self._start + self._n]
+            return self._backing[start + lo: start + hi]
+        return np.asarray(self._backing.decode_range(start + lo, start + hi),
+                          dtype=np.int64)
 
     def decode_all(self) -> np.ndarray:
-        return np.asarray(self._values(), dtype=np.int64)
+        return self.decode_range(0, self._n)
 
     def gather(self, positions: np.ndarray) -> np.ndarray:
         positions = np.asarray(positions, dtype=np.int64)
@@ -209,7 +223,7 @@ class _SliceView:
                 self._start == 0 and self._n == len(self._backing):
             # whole-sequence view: let the codec prune internally
             return self._backing.filter_range(lo, hi)
-        values = self._values()
+        values = self.decode_all()
         return (values >= lo) & (values < hi)
 
 

@@ -276,9 +276,10 @@ class Table:
         where:
             Optional ``(column, lo, hi)`` range predicate selecting rows
             with ``lo <= value < hi``.  The predicate is pushed down:
-            zone maps prune whole chunks, survivors filter through the
-            codecs' vectorised ``filter_range``, and projected columns
-            ``gather`` only surviving positions.
+            zone maps prune whole chunks (and skip the filter on chunks
+            they place wholly inside the range), survivors filter
+            through the codecs' vectorised ``filter_range``, and
+            projected columns decode only surviving positions.
         prune:
             Disable to force the filter onto every chunk (the benchmark's
             unpruned baseline); results are identical.

@@ -9,6 +9,8 @@ contract — no test edits required:
   including duplicates and boundary indices;
 * ``decode_range(lo, hi)`` equals the full-decode slice;
 * scalar ``get`` agrees with ``gather``;
+* ``filter_range(lo, hi)`` equals ``(v >= lo) & (v < hi)`` over the
+  full decode, for ranges that cover, clip and miss LeCo model bands;
 * the envelope rejects truncated and foreign-magic blobs with ValueError.
 """
 
@@ -37,6 +39,50 @@ def make_int_data(name: str, n: int = 600, seed: int = 7) -> np.ndarray:
     values = np.concatenate([
         np.cumsum(rng.integers(0, 50, n // 2)),       # serial-correlated
         rng.integers(-(1 << 33), 1 << 33, n - n // 2),  # wide + negative
+    ]).astype(np.int64)
+    if codecs.info(name).requires_sorted:
+        values = np.sort(np.abs(values))
+    return values
+
+
+def band_edges(seq, values: np.ndarray) -> list[tuple[int, int]]:
+    """``(min, max)`` pairs worth probing ``filter_range`` at: the
+    values' exact extremes and, for LeCo-family sequences, every
+    non-empty partition's model band."""
+    edges = [(int(values.min()), int(values.max()))]
+    array = getattr(seq, "array", None)
+    if array is not None:
+        edges += [(int(lo), int(hi))
+                  for lo, hi in array.partition_value_bounds() if lo <= hi]
+    return edges
+
+
+def assert_filter_range(seq, values: np.ndarray, lo: int, hi: int):
+    expected = (values >= lo) & (values < hi)
+    got = np.asarray(seq.filter_range(lo, hi), dtype=bool)
+    assert np.array_equal(got, expected), (lo, hi)
+
+
+#: LeCo encodings with small partitions, so one sequence holds bands that
+#: a range covers, clips and misses: linear, constant (FOR, whose runs
+#: give width-0 partitions) and a non-monotone regressor (whole-domain
+#: bands)
+LECO_BAND_CODECS = {
+    "leco-linear": lambda: codecs.get("leco", partitioner=32),
+    "for": lambda: codecs.get("for", frame_size=32),
+    "leco-poly2": lambda: codecs.get("leco", regressor="poly2",
+                                     partitioner=32),
+}
+
+
+def make_band_data(name: str, n: int = 600, seed: int = 11) -> np.ndarray:
+    """Serial, constant-run and noisy stretches (several bands)."""
+    rng = np.random.default_rng(seed)
+    third = n // 3
+    values = np.concatenate([
+        np.cumsum(rng.integers(0, 50, third)),
+        np.full(third, 1234),
+        rng.integers(-1000, 1000, n - 2 * third),
     ]).astype(np.int64)
     if codecs.info(name).requires_sorted:
         values = np.sort(np.abs(values))
@@ -107,6 +153,16 @@ class TestIntegerConformance:
             seq.decode_range(0, n + 1)
 
     @pytest.mark.parametrize("name", INT_CODECS)
+    def test_filter_range_at_band_edges(self, name):
+        values = make_band_data(name)
+        seq = encode(name, values)
+        for zmin, zmax in band_edges(seq, values):
+            for lo, hi in ((zmin, zmax + 1), (zmin, zmax),
+                           (zmin + 1, zmax + 1), (zmax + 1, zmax + 2),
+                           (zmin - 1, zmin)):
+                assert_filter_range(seq, values, lo, hi)
+
+    @pytest.mark.parametrize("name", INT_CODECS)
     def test_envelope_rejects_truncation(self, name):
         blob = encode(name, make_int_data(name)).to_bytes()
         for cut in (3, 5, len(blob) // 2, len(blob) - 1):
@@ -124,6 +180,43 @@ class TestIntegerConformance:
         codec = codecs.get(name)
         assert codecs.info(name).sequential_access == \
             getattr(codec, "sequential_access", False)
+
+
+class TestLecoBandFilter:
+    """``filter_range`` accepts covered partitions and skips missed ones
+    from their model bands alone; these encodings guarantee the band
+    shapes that decision depends on."""
+
+    def test_constant_runs_give_width_zero_partitions(self):
+        values = make_band_data("for")
+        seq = LECO_BAND_CODECS["for"]().encode(values)
+        widths = [p.deltas.width for p in seq.array.partitions]
+        assert 0 in widths
+        for zmin, zmax in band_edges(seq, values):
+            for lo, hi in ((zmin, zmax + 1), (zmin, zmax),
+                           (zmin + 1, zmax + 2)):
+                assert_filter_range(seq, values, lo, hi)
+
+    def test_non_monotone_bands_are_the_whole_domain(self):
+        values = make_band_data("leco")
+        seq = LECO_BAND_CODECS["leco-poly2"]().encode(values)
+        i64 = np.iinfo(np.int64)
+        bounds = seq.array.partition_value_bounds()
+        assert (bounds == (i64.min, i64.max)).all(axis=1).any()
+        # only a range spanning all of int64 covers such a band
+        assert_filter_range(seq, values, int(i64.min), int(i64.max) + 1)
+        assert_filter_range(seq, values, int(i64.min), int(i64.max))
+        assert_filter_range(seq, values, int(values.min()),
+                            int(values.max()) + 1)
+
+    def test_bounds_are_memoised_read_only(self):
+        seq = LECO_BAND_CODECS["leco-linear"]().encode(
+            make_band_data("leco"))
+        bounds = seq.array.partition_value_bounds()
+        assert seq.array.partition_value_bounds() is bounds
+        assert not bounds.flags.writeable
+        with pytest.raises(ValueError):
+            bounds[0, 0] = 0
 
 
 class TestStringConformance:
@@ -219,3 +312,46 @@ if HAVE_HYPOTHESIS:
             idx = np.arange(len(values))[::3]
             assert np.array_equal(
                 np.asarray(seq.gather(idx), dtype=np.int64), values[idx])
+
+    band_arrays = st.one_of(
+        int_arrays,
+        # constant runs: width-0 partitions under FOR/LeCo
+        st.lists(st.tuples(st.integers(-(1 << 20), 1 << 20),
+                           st.integers(1, 60)),
+                 min_size=1, max_size=8).map(
+            lambda runs: np.repeat(
+                np.array([v for v, _ in runs], dtype=np.int64),
+                [k for _, k in runs])),
+        # serial-correlated stretches: tight linear bands
+        st.lists(st.integers(0, 40), min_size=1, max_size=300).map(
+            lambda steps: np.cumsum(np.array(steps, dtype=np.int64))),
+    )
+
+    def draw_range(data, seq, values) -> tuple[int, int]:
+        """A range that covers, clips or misses the sequence's bands:
+        each side is a band edge (±1) or an arbitrary nearby value."""
+        edges = sorted({e + d for pair in band_edges(seq, values)
+                        for e in pair for d in (-1, 0, 1)})
+        vmin, vmax = int(values.min()), int(values.max())
+        side = st.one_of(st.sampled_from(edges),
+                         st.integers(vmin - 10, vmax + 10))
+        return data.draw(side), data.draw(side)
+
+    class TestPropertyFilterRange:
+        @pytest.mark.parametrize("name", INT_CODECS)
+        @given(values=band_arrays, data=st.data())
+        @settings(max_examples=15, deadline=None)
+        def test_registry_codecs(self, name, values, data):
+            if codecs.info(name).requires_sorted:
+                values = np.sort(np.abs(values))
+            seq = encode(name, values)
+            lo, hi = draw_range(data, seq, values)
+            assert_filter_range(seq, values, lo, hi)
+
+        @pytest.mark.parametrize("name", sorted(LECO_BAND_CODECS))
+        @given(values=band_arrays, data=st.data())
+        @settings(max_examples=25, deadline=None)
+        def test_leco_band_shapes(self, name, values, data):
+            seq = LECO_BAND_CODECS[name]().encode(values)
+            lo, hi = draw_range(data, seq, values)
+            assert_filter_range(seq, values, lo, hi)

@@ -15,6 +15,7 @@ except ImportError:  # pragma: no cover - hypothesis is in the CI image
     HAVE_HYPOTHESIS = False
 
 from repro import codecs
+from repro.baselines.base import EncodedSequence
 from repro.engine import (
     ENCODINGS,
     IOModel,
@@ -32,6 +33,8 @@ from repro.exec import (
     col,
     split_pushdown,
 )
+from repro.mutate import MutableTable
+from repro.par import ProcessScheduler
 from repro.store import Table, write_table
 from repro.store.executor import StoreSource
 
@@ -423,6 +426,217 @@ if HAVE_HYPOTHESIS:
                                       columns[name][mask])
                 assert np.array_equal(naive.columns[name],
                                       pushed.columns[name])
+
+
+class _CountingSequence(EncodedSequence):
+    """A plain sequence that counts the rows every read decodes."""
+
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=np.int64)
+        self.decoded = 0
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def decode_all(self) -> np.ndarray:
+        self.decoded += len(self.values)
+        return self.values.copy()
+
+    def decode_range(self, lo: int, hi: int) -> np.ndarray:
+        self.decoded += hi - lo
+        return self.values[lo:hi].copy()
+
+    def gather(self, indices) -> np.ndarray:
+        indices = self._check_indices(indices)
+        self.decoded += len(indices)
+        return self.values[indices]
+
+    def compressed_size_bytes(self) -> int:
+        return self.values.nbytes
+
+
+class TestSliceViewDecodesOnce:
+    """Granule views over a sequence-backed ArraySource read only their
+    own rows, so a K-granule scan is O(rows), not O(K * rows)."""
+
+    def test_unfiltered_scan_decodes_each_row_once(self):
+        values = np.arange(1000, dtype=np.int64) * 7 % 113
+        spy = _CountingSequence(values)
+        source = ArraySource({"v": spy}, morsel_rows=100)
+        assert len(source.granules()) == 10
+        res = Plan.scan(["v"]).execute(source, threads=1)
+        assert np.array_equal(res.columns["v"], values)
+        assert spy.decoded == len(values)
+        spy.decoded = 0
+        agg = Plan.scan().aggregate({"s": ("sum", "v")}).execute(
+            source, threads=1)
+        assert agg.groups[None]["s"] == int(values.sum())
+        assert spy.decoded == len(values)
+
+    def test_filtered_scan_decodes_each_row_at_most_twice(self):
+        values = np.arange(1000, dtype=np.int64) * 7 % 113
+        spy = _CountingSequence(values)
+        source = ArraySource({"v": spy}, morsel_rows=100)
+        res = Plan.scan(["v"]).where(col("v").between(10, 60)).execute(
+            source, threads=1)
+        mask = (values >= 10) & (values < 60)
+        assert np.array_equal(res.row_ids, np.flatnonzero(mask))
+        # once for filter_range, once for the survivors
+        assert spy.decoded == len(values) + int(mask.sum())
+
+    def test_slice_view_decode_range(self):
+        values = np.arange(50, dtype=np.int64) * 3
+        for backing in (values, codecs.get("leco").encode(values)):
+            source = ArraySource({"v": backing}, morsel_rows=20)
+            view = source.load(source.granules()[1], "v", None)
+            assert np.array_equal(view.decode_range(2, 9), values[22:29])
+            assert np.array_equal(view.decode_all(), values[20:40])
+            with pytest.raises(IndexError):
+                view.decode_range(0, 21)
+
+
+CHUNK = 64
+N_GRANULES = 16
+
+
+@pytest.fixture(scope="module")
+def proc_sched():
+    scheduler = ProcessScheduler(workers=1, name="exec-covered")
+    yield scheduler
+    scheduler.close()
+
+
+def _edge_ranges(rng, k, n_random: int = 4):
+    """``k`` ranges from one granule edge to another (the fixed ones
+    clear of the test's deleted rows): exact edges, a
+    ``hi`` equal to a granule's maximum and a ``lo`` one above a
+    granule's minimum (neither may count as covered), then random
+    edges, sometimes nudged a few rows so the edge granules are
+    partial."""
+    def at(row):
+        return int(k[row]) if row < len(k) else int(k[-1]) + 1
+
+    yield at(7 * CHUNK), at(12 * CHUNK)
+    yield at(7 * CHUNK), int(k[12 * CHUNK - 1])
+    yield at(7 * CHUNK) + 1, at(12 * CHUNK)
+    for _ in range(n_random):
+        a, b = sorted(rng.choice(N_GRANULES + 1, 2, replace=False))
+        rows = [edge * CHUNK for edge in (a, b)]
+        if rng.random() < 0.3:
+            rows = [int(np.clip(r + rng.integers(-3, 4), 0, len(k)))
+                    for r in rows]
+        yield at(rows[0]), at(rows[1])
+
+
+class TestCoveredRanges:
+    """A range conjunct whose zone map lies inside the range is dropped
+    for that granule: no filter, no predicate-column load unless
+    projected.  Results equal the unpruned, the naive and the numpy
+    answers on every integer codec, through deletion vectors and a
+    residual ``IN`` term, on the serial and process tiers."""
+
+    @pytest.mark.parametrize("codec", INT_CODECS)
+    def test_covered_fast_path_matches_naive_and_numpy(
+            self, codec, tmp_path, proc_sched):
+        rng = np.random.default_rng(sum(map(ord, codec)))
+        n = N_GRANULES * CHUNK
+        k = np.cumsum(rng.integers(1, 9, n)).astype(np.int64)
+        if codecs.info(codec).requires_sorted:
+            v = np.sort(rng.integers(0, 1 << 30, n)).astype(np.int64)
+        else:
+            v = rng.integers(-(1 << 30), 1 << 30, n).astype(np.int64)
+        path = str(tmp_path / "t")
+        with MutableTable.create(path, schema=("k", "v"), codec=codec,
+                                 shard_rows=4 * CHUNK,
+                                 chunk_rows=CHUNK) as table:
+            table.append({"k": k, "v": v})
+            table.flush()
+            dead = col("k").between(int(k[100]), int(k[140])) | \
+                col("k").between(int(k[5 * CHUNK]), int(k[6 * CHUNK]))
+            table.delete(dead)
+            table.flush()
+        live = ~(((k >= k[100]) & (k < k[140]))
+                 | ((k >= k[5 * CHUNK]) & (k < k[6 * CHUNK])))
+        with Table.open(path) as snap:
+            source = StoreSource(snap)
+            assert source.implicit_filter() is not None
+            cases = [(lo, hi, residual)
+                     for lo, hi in _edge_ranges(rng, k)
+                     for residual in (False, True)]
+            for trial, (lo, hi, residual) in enumerate(cases):
+                expr = col("k").between(lo, hi)
+                mask = live & (k >= lo) & (k < hi)
+                if residual:
+                    members = rng.choice(v, 40)
+                    expr = expr & col("v").isin(members)
+                    mask = mask & np.isin(v, members)
+                projection = ["v"] if trial % 3 else ["k", "v"]
+                plan = Plan.scan(projection).where(expr)
+                runs = {
+                    "covered": plan.execute(source, threads=1),
+                    "unpruned": plan.execute(source, threads=1,
+                                             prune=False),
+                    "naive": plan.execute(source, threads=1, prune=False,
+                                          pushdown=False),
+                    "process": plan.execute(source, scheduler=proc_sched),
+                    "process_unpruned": plan.execute(
+                        source, scheduler=proc_sched, prune=False),
+                }
+                expected = np.flatnonzero(mask)
+                for name, res in runs.items():
+                    where = (codec, trial, name)
+                    assert np.array_equal(res.row_ids, expected), where
+                    for c in projection:
+                        got = res.columns[c]
+                        ref = (k if c == "k" else v)[mask]
+                        assert np.array_equal(got, ref), where
+                    assert res.stats.rows_scanned == mask.sum(), where
+                agg = (Plan.scan(["v"]).where(expr)
+                       .aggregate({"s": ("sum", "v"), "c": ("count", "v")})
+                       .execute(source, scheduler=proc_sched))
+                assert agg.groups == ({None: {"s": int(v[mask].sum()),
+                                              "c": int(mask.sum())}}
+                                      if mask.any() else {})
+
+    @pytest.mark.parametrize("codec", ["plain", "leco", "for", "dict"])
+    def test_covered_granules_charge_no_predicate_chunk(self, codec,
+                                                        tmp_path):
+        n = N_GRANULES * CHUNK
+        k = np.arange(n, dtype=np.int64) * 5
+        v = (np.arange(n, dtype=np.int64) * 7919) % 1009
+        path = str(tmp_path / "t")
+        write_table(path, {"k": k, "v": v}, codec=codec,
+                    shard_rows=4 * CHUNK, chunk_rows=CHUNK)
+        a, b = 3, 11
+        lo, hi = int(k[a * CHUNK]), int(k[b * CHUNK])
+        mask = (k >= lo) & (k < hi)
+        plan = Plan.scan(["v"]).where(col("k").between(lo, hi))
+        with Table.open(path) as table:
+            source = StoreSource(table)
+            granules = source.granules()
+            expected_chunks = 0
+            covered = 0
+            for g in granules:
+                zmin, zmax = source.bounds(g, "k")
+                if zmax < lo or zmin >= hi:
+                    continue  # pruned: no chunk at all
+                is_covered = lo <= zmin and zmax < hi
+                covered += is_covered
+                matches = mask[g.row_start: g.row_start + g.n_rows].any()
+                expected_chunks += (not is_covered) + bool(matches)
+            if not codecs.info(codec).supports_model_bounds:
+                assert covered == b - a  # exact zone maps
+            assert covered > 0
+            res = plan.execute(source, threads=1)
+            unpruned = plan.execute(source, threads=1, prune=False)
+        assert res.stats.chunks_scanned == expected_chunks
+        assert res.stats.rows_scanned == unpruned.stats.rows_scanned \
+            == int(mask.sum())
+        # unpruned execution filters every granule's k chunk
+        assert unpruned.stats.chunks_scanned == \
+            N_GRANULES + (b - a)
+        assert np.array_equal(res.columns["v"], v[mask])
+        assert np.array_equal(unpruned.columns["v"], v[mask])
 
 
 class TestBenchExec:
